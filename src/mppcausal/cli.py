@@ -190,7 +190,7 @@ def cmd_oracle(args) -> int:
         ipw_value = oracle_ipw(ds)
     except OraclePositivityError as exc:
         positivity = str(exc)
-    check = cross_check_continuous(ds)
+    check = cross_check_continuous(ds, scenario=scenario)
     report = {
         "g_formula": g_value,
         "ipw": ipw_value,

@@ -115,20 +115,49 @@ class ProbTable:
         return max(probs, default=0.0)
 
 
+class PastBitsTable:
+    """Probability keyed by the bits of strictly earlier discrete variables.
+
+    ``slots`` maps each earlier variable's (time, component) to its bit;
+    ``probs[mask]`` is the probability for the pattern of fired variables.
+    Variables not yet reached in the history read as 0.
+    """
+
+    __slots__ = ("slots", "probs", "maximum")
+
+    def __init__(self, slots: dict[tuple[float, int], int], probs: tuple[float, ...]):
+        self.slots = slots
+        self.probs = probs
+        self.maximum = max(probs)
+
+    def lookup(self, baseline: Baseline, history: Trajectory, t: float) -> float:
+        component = history.space.mark_component
+        mask = 0
+        for time, mark in history.events:
+            bit = self.slots.get((time, component[mark]))
+            if bit is None:
+                raise ValueError(f"no probability-table entry matches history at t={t}")
+            mask |= bit
+        return self.probs[mask]
+
+    def max_prob(self) -> float:
+        return self.maximum
+
+
 @dataclass(frozen=True)
 class AtomSpec:
     time: float
-    prob: float | ProbTable
+    prob: float | ProbTable | PastBitsTable
 
     def prob_at(self, baseline: Baseline, history: Trajectory) -> float:
-        if isinstance(self.prob, ProbTable):
-            return self.prob.lookup(baseline, history, self.time)
-        return self.prob
+        if isinstance(self.prob, (int, float)):
+            return self.prob
+        return self.prob.lookup(baseline, history, self.time)
 
     def max_prob(self) -> float:
-        if isinstance(self.prob, ProbTable):
-            return self.prob.max_prob()
-        return self.prob
+        if isinstance(self.prob, (int, float)):
+            return self.prob
+        return self.prob.max_prob()
 
 
 @dataclass(frozen=True)

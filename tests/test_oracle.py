@@ -1,10 +1,12 @@
+import dataclasses
 import itertools
 import math
 import random
 
 import pytest
 
-from mppcausal.compensator import check_regularity
+import mppcausal.oracle as oracle_module
+from mppcausal.compensator import PastBitsTable, check_regularity
 from mppcausal.oracle import (
     DiscreteScenario,
     DiscreteVariable,
@@ -18,7 +20,9 @@ from mppcausal.oracle import (
     oracle_ipw,
     regime_reachable,
     to_continuous,
+    world_trajectory,
 )
+from mppcausal.trajectory import Baseline, Trajectory, restrict
 
 from conftest import one_period_scenario
 
@@ -50,6 +54,25 @@ def random_discrete(rng, n_vars):
     return DiscreteScenario(tuple(variables), float(n_vars + 1), "Y")
 
 
+def same_time_scenario():
+    """L, then A and M together at t=2 on different components, then Y."""
+
+    def table(n):
+        patterns = itertools.product((0, 1), repeat=n)
+        return {p: 0.2 + 0.6 * sum(p) / max(n, 1) for p in patterns}
+
+    return DiscreteScenario(
+        (
+            DiscreteVariable("L", 1.0, "l", table(0)),
+            DiscreteVariable("A", 2.0, "a", table(1), is_treatment=True, regime_value=1),
+            DiscreteVariable("M", 2.0, "m", table(2)),
+            DiscreteVariable("Y", 3.0, "y", table(3)),
+        ),
+        4.0,
+        "Y",
+    )
+
+
 class TestEnumeration:
     def test_worlds_sum_to_one(self, one_period, two_period):
         for ds in (one_period, two_period):
@@ -65,9 +88,17 @@ class TestEnumeration:
             assert w.follower == (w.bits[1] == 1)
 
     def test_cap_enforced(self):
-        rng = random.Random(0)
+        # constant callables: the cap refuses before any probability is read
+        ds = DiscreteScenario(
+            tuple(
+                DiscreteVariable(f"V{k}", float(k + 1), "l", lambda past: 0.5)
+                for k in range(23)
+            ),
+            24.0,
+            "V22",
+        )
         with pytest.raises(EnumerationCapError):
-            enumerate_worlds(random_discrete(rng, 23))
+            enumerate_worlds(ds)
 
 
 class TestOracleValues:
@@ -175,6 +206,66 @@ class TestContinuousEmbedding:
         rep = cross_check_continuous(shared_atom)
         assert not rep.ok
         assert not rep.regularity_ok
+
+    def test_weight_tolerance_is_relative(self, monkeypatch):
+        # follower weights of 10 variables reach the thousands; their W_T
+        # agree with the enumerated weight to ~1e-15 relative
+        for seed in (4, 5):
+            rep = cross_check_continuous(random_discrete(random.Random(seed), 10))
+            assert rep.ok, rep.messages
+        exact = oracle_module.weight_path_product
+        perturbed = []
+
+        def weight_path_off_by_1e9(scenario, baseline, traj):
+            path = exact(scenario, baseline, traj)
+            if perturbed:
+                return path
+            perturbed.append(path.W_T)
+            return dataclasses.replace(path, W_T=path.W_T * (1.0 + 1e-9))
+
+        monkeypatch.setattr(oracle_module, "weight_path_product", weight_path_off_by_1e9)
+        rep = cross_check_continuous(random_discrete(random.Random(4), 10))
+        assert perturbed and not rep.ok
+        assert len(rep.messages) == 1 and "weight mismatch" in rep.messages[0]
+
+    def test_keyed_table_matches_conditionals(self, shared_atom):
+        rng = random.Random(7)
+        scenarios = [random_discrete(rng, k) for k in range(2, 9)]
+        for ds in scenarios + [shared_atom, same_time_scenario()]:
+            sc = to_continuous(ds)
+            worlds = enumerate_worlds(ds)
+            for k, v in enumerate(ds.variables):
+                c = sc.space.component_index(v.component)
+                (spec,) = [a for a in sc.model.rules[c].atoms if a.time == v.time]
+                earlier = [i for i in range(k) if ds.variables[i].time < v.time]
+                assert isinstance(spec.prob, PastBitsTable) == bool(earlier)
+                positive = {
+                    tuple(w.bits[i] for i in earlier) for w in worlds if w.prob > 0
+                }
+                for pattern in positive:
+                    given = dict(zip(earlier, pattern))
+                    bits = tuple(given.get(i, 0) for i in range(len(ds.variables)))
+                    history = restrict(
+                        world_trajectory(ds, sc.space, bits), v.time, "strictly-before"
+                    )
+                    expected = conditional_expectation(
+                        ds, v.name, {ds.variables[i].name: b for i, b in given.items()}
+                    )
+                    assert spec.prob_at(Baseline(), history) == pytest.approx(
+                        expected, abs=1e-12
+                    )
+
+    def test_keyed_table_rejects_off_grid_events(self, two_period):
+        sc = to_continuous(two_period)
+        y = sc.space.component_index("y")
+        (spec,) = sc.model.rules[y].atoms
+        mark_l = sc.space.marks_of(sc.space.component_index("l"))[0]
+        mark_a = sc.space.marks_of(sc.space.component_index("a"))[0]
+        # off the grid in time, and on the grid's time but the wrong component
+        for event in ((0.5, mark_l), (1.0, mark_a)):
+            history = Trajectory(sc.space, (event,), two_period.horizon)
+            with pytest.raises(ValueError, match="no probability-table entry"):
+                spec.prob_at(Baseline(), history)
 
     def test_shared_atom_marginals(self, shared_atom):
         # embedding assigns each same-time variable its strict-past marginal
