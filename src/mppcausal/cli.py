@@ -17,7 +17,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .compensator import check_regularity
 from .estimate import (
     gformula_mc,
     ipw_estimate,
@@ -35,12 +34,14 @@ def _chunks(n: int, threads: int):
     return [(a, min(a + size, n)) for a in range(0, n, size)]
 
 
-def _run_chunked(worker, config_path: str, seed: int, n: int, threads: int, extra=()):
+def _run_chunked(worker, scenario, config_path, seed, n, threads, extra=()):
+    """Run the worker on the loaded scenario, or in worker processes that
+    each load the config."""
     if threads <= 1 or n < 2:
-        return [worker(config_path, seed, 0, n, *extra)]
+        return [worker(scenario, seed, 0, n, *extra)]
     with ProcessPoolExecutor(max_workers=threads) as pool:
         futures = [
-            pool.submit(worker, config_path, seed, a, b, *extra)
+            pool.submit(_load_and_run, worker, config_path, seed, a, b, *extra)
             for a, b in _chunks(n, threads)
         ]
         return [f.result() for f in futures]
@@ -49,8 +50,11 @@ def _run_chunked(worker, config_path: str, seed: int, n: int, threads: int, extr
 # chunk workers live at module level so they pickle cleanly
 
 
-def _simulate_chunk(config_path, seed, start, stop, t_eval):
-    scenario = load_config(config_path)
+def _load_and_run(worker, config_path, *args):
+    return worker(load_config(config_path), *args)
+
+
+def _simulate_chunk(scenario, seed, start, stop, t_eval):
     event_rows, summary_rows = [], []
     for i in range(start, stop):
         real = simulate_joint(scenario, RandomizerStream(seed, i))
@@ -64,8 +68,7 @@ def _simulate_chunk(config_path, seed, start, stop, t_eval):
     return event_rows, summary_rows
 
 
-def _ipw_chunk(config_path, seed, start, stop, t_eval):
-    scenario = load_config(config_path)
+def _ipw_chunk(scenario, seed, start, stop, t_eval):
     out = []
     for i in range(start, stop):
         baseline, traj = simulate_observed(scenario, RandomizerStream(seed, i))
@@ -75,8 +78,7 @@ def _ipw_chunk(config_path, seed, start, stop, t_eval):
     return out
 
 
-def _weights_chunk(config_path, seed, start, stop):
-    scenario = load_config(config_path)
+def _weights_chunk(scenario, seed, start, stop):
     rows = []
     for i in range(start, stop):
         baseline, traj = simulate_observed(scenario, RandomizerStream(seed, i))
@@ -100,11 +102,12 @@ def _write_csv(path: str, header, rows) -> None:
 
 def cmd_simulate(args) -> int:
     scenario = load_config(args.config)
-    reg = check_regularity(scenario.model, scenario.interventions)
+    reg = scenario.model.regularity(scenario.interventions)
     if not reg.ok:
         raise RuntimeError("regularity violations: " + "; ".join(reg.violations))
     results = _run_chunked(
-        _simulate_chunk, args.config, args.seed, args.n, args.threads, (args.t,)
+        _simulate_chunk, scenario, args.config, args.seed, args.n, args.threads,
+        (args.t,),
     )
     os.makedirs(args.out, exist_ok=True)
     event_rows = [r for chunk in results for r in chunk[0]]
@@ -127,7 +130,8 @@ def cmd_estimate(args) -> int:
     t_eval = args.t if args.t is not None else scenario.horizon
     if args.method == "ipw":
         results = _run_chunked(
-            _ipw_chunk, args.config, args.seed, args.n, args.threads, (t_eval,)
+            _ipw_chunk, scenario, args.config, args.seed, args.n, args.threads,
+            (t_eval,),
         )
         contributions = np.array([x for chunk in results for x in chunk])
         value = float(np.mean(contributions))
@@ -157,7 +161,7 @@ def cmd_estimate(args) -> int:
         rows = [
             r
             for chunk in _run_chunked(
-                _weights_chunk, args.config, args.seed, args.n, args.threads
+                _weights_chunk, scenario, args.config, args.seed, args.n, args.threads
             )
             for r in chunk
         ]
@@ -215,13 +219,13 @@ def cmd_oracle(args) -> int:
 
 def cmd_weights(args) -> int:
     scenario = load_config(args.config)
-    reg = check_regularity(scenario.model, scenario.interventions)
+    reg = scenario.model.regularity(scenario.interventions)
     if not reg.ok:
         raise RuntimeError("regularity violations: " + "; ".join(reg.violations))
     rows = [
         r
         for chunk in _run_chunked(
-            _weights_chunk, args.config, args.seed, args.n, args.threads
+            _weights_chunk, scenario, args.config, args.seed, args.n, args.threads
         )
         for r in chunk
     ]
@@ -236,7 +240,7 @@ def cmd_weights(args) -> int:
 
 def cmd_check(args) -> int:
     scenario = load_config(args.config)
-    reg = check_regularity(scenario.model, scenario.interventions)
+    reg = scenario.model.regularity(scenario.interventions)
     findings = {"regularity": list(reg.violations)}
     predict = []
     # an irregular model cannot be simulated, so the sampled checks only run

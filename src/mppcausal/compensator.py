@@ -14,6 +14,7 @@ functions, and exact trajectory log-densities.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,8 +30,7 @@ from .trajectory import (
 
 EVENT_CAP_DEFAULT = 10_000
 
-# memo entries are cheap but histories in continuous scenarios are unique;
-# cap keeps the cache useful for discrete scenarios without unbounded growth
+# cap keeps the memo useful for discrete scenarios without unbounded growth
 _PLAN_CACHE_MAX = 100_000
 
 
@@ -85,12 +85,23 @@ class RateRule:
     base: float
     factors: tuple[RateFactor, ...] = ()
 
-    def rate_at(self, baseline: Baseline, history: Trajectory, t: float) -> float:
-        r = self.base
+    def rates_at(self, baseline: Baseline, history: Trajectory, times) -> list[float]:
+        """Rates at increasing times past the last history event. Count and
+        baseline predicates are constant there, so only window predicates are
+        re-evaluated per time; multipliers apply in factor order."""
+        live = []
         for f in self.factors:
-            if all(p.holds(baseline, history, t) for p in f.when):
-                r *= f.multiplier
-        return r
+            fixed = (p for p in f.when if p.kind != "window")
+            if all(p.holds(baseline, history, times[-1]) for p in fixed):
+                live.append((f.multiplier, [p for p in f.when if p.kind == "window"]))
+        rates = []
+        for t in times:
+            r = self.base
+            for multiplier, window_preds in live:
+                if all(p.holds(baseline, history, t) for p in window_preds):
+                    r *= multiplier
+            rates.append(r)
+        return rates
 
 
 @dataclass(frozen=True)
@@ -259,9 +270,11 @@ class HazardSegmentPlan:
 class CompensatorModel:
     """Per-component compensator rules over a shared mark space.
 
-    Immutable after construction; plan evaluation is memoized on the
-    (component, baseline, history, start-time) key, which makes repeated
-    Monte Carlo passes over discrete scenarios cheap.
+    Immutable after construction. Plans are memoized on the (component,
+    baseline, history, start-time) key, but only at starts that can recur:
+    0 and the declared atom times. Continuous event times never repeat, so
+    discrete scenarios keep every hit and continuous ones store no entry
+    that cannot be hit.
     """
 
     def __init__(
@@ -285,7 +298,29 @@ class CompensatorModel:
         self.rules: tuple[DslRule | CustomRule, ...] = tuple(
             resolved[c] for c in range(space.n_components)
         )
+        self._memo_starts = frozenset([0.0]).union(
+            a.time for r in self.rules if isinstance(r, DslRule) for a in r.atoms
+        )
         self._plan_cache: dict = {}
+        self._regularity: dict = {}
+
+    def memoized(self, key, s: float, build: Callable, *args):
+        """``build(*args)``, memoized under ``key`` when s is a start that can recur."""
+        if s not in self._memo_starts:
+            return build(*args)
+        cached = self._plan_cache.get(key)
+        if cached is None:
+            cached = build(*args)
+            if len(self._plan_cache) < _PLAN_CACHE_MAX:
+                self._plan_cache[key] = cached
+        return cached
+
+    def regularity(self, interventions=()) -> "RegularityReport":
+        """``check_regularity`` for these interventions, computed once."""
+        key = tuple(interventions)
+        if key not in self._regularity:
+            self._regularity[key] = check_regularity(self, key)
+        return self._regularity[key]
 
     # -- plan construction --------------------------------------------------
 
@@ -299,13 +334,9 @@ class CompensatorModel:
         if isinstance(rule, CustomRule):
             return rule.plan_fn(baseline, history, s, self.horizon)
         key = (component, baseline.values, history.events, s)
-        cached = self._plan_cache.get(key)
-        if cached is not None:
-            return cached
-        plan = self._build_dsl_plan(rule, baseline, history, component, s)
-        if len(self._plan_cache) < _PLAN_CACHE_MAX:
-            self._plan_cache[key] = plan
-        return plan
+        return self.memoized(
+            key, s, self._build_dsl_plan, rule, baseline, history, component, s
+        )
 
     def _build_dsl_plan(
         self,
@@ -325,17 +356,16 @@ class CompensatorModel:
             for f in rule.rate.factors:
                 for p in f.when:
                     if p.kind == "window":
-                        for t_ev, mark in history.events:
-                            if history.space.mark_component[mark] == p.component:
-                                exit_t = t_ev + p.window
-                                if s < exit_t < T:
-                                    cuts.add(exit_t)
+                        # events before s - 2 * window exit before s
+                        times = history.component_times(p.component)
+                        for t_ev in times[bisect_left(times, s - 2 * p.window):]:
+                            exit_t = t_ev + p.window
+                            if s < exit_t < T:
+                                cuts.add(exit_t)
             edges = [s] + sorted(cuts)
-            segs = []
-            for a, b in zip(edges, edges[1:]):
-                # predicates are constant on (a, b]; evaluate at the right edge
-                segs.append((a, b, rule.rate.rate_at(baseline, history, b)))
-            segments = tuple(segs)
+            # predicates are constant on (a, b]; evaluate at the right edge
+            rates = rule.rate.rates_at(baseline, history, edges[1:])
+            segments = tuple(zip(edges, edges[1:], rates))
         atoms = []
         for spec in rule.atoms:
             if s < spec.time <= T:
@@ -430,9 +460,8 @@ def log_density(model: CompensatorModel, baseline: Baseline, traj: Trajectory) -
     comps = range(space.n_components)
     logp = 0.0
     prev = 0.0
-    hist_events: tuple = ()
+    history = Trajectory(space, (), traj.horizon)
     for t, mark in traj.events:
-        history = Trajectory(space, hist_events, traj.horizon)
         plans = [model.plan(baseline, history, c, prev) for c in comps]
         j = space.mark_component[mark]
         for c, plan in zip(comps, plans):
@@ -457,9 +486,8 @@ def log_density(model: CompensatorModel, baseline: Baseline, traj: Trajectory) -
         if probs[idx] <= 0.0:
             return -math.inf
         logp += math.log(probs[idx])
-        hist_events = hist_events + ((t, mark),)
+        history = history.extended((t, mark))
         prev = t
-    history = Trajectory(space, hist_events, traj.horizon)
     for c in comps:
         plan = model.plan(baseline, history, c, prev)
         logp -= plan.continuous_increment(model.horizon)

@@ -73,13 +73,9 @@ class DelayedCopy(InterventionSpec):
             raise ValueError("delay must be strictly positive")
 
     def events(self, baseline, traj, up_to):
-        out = []
-        for t, m in traj.events:
-            if traj.space.mark_component[m] == self.source:
-                shifted = t + self.delay
-                if shifted <= min(up_to, traj.horizon):
-                    out.append((shifted, self.mark))
-        return tuple(out)
+        cutoff = min(up_to, traj.horizon)
+        shifted = (t + self.delay for t in traj.component_times(self.source))
+        return tuple((t, self.mark) for t in shifted if t <= cutoff)
 
 
 @dataclass(frozen=True)
@@ -105,14 +101,12 @@ class TriggeredAllocation(InterventionSpec):
             raise ValueError("window must be strictly positive")
 
     def events(self, baseline, traj, up_to):
+        cutoff = min(up_to, traj.horizon)
         out = []
-        for t, m in traj.events:
-            if traj.space.mark_component[m] == self.visit:
-                s = t + self.delay
-                if s <= min(up_to, traj.horizon) and count_window(
-                    traj, self.trigger, s, self.window
-                ) > 0:
-                    out.append((s, self.mark))
+        for t in traj.component_times(self.visit):
+            s = t + self.delay
+            if s <= cutoff and count_window(traj, self.trigger, s, self.window) > 0:
+                out.append((s, self.mark))
         return tuple(out)
 
 

@@ -19,7 +19,6 @@ from .compensator import (
     CompensatorModel,
     DslRule,
     PastBitsTable,
-    check_regularity,
     log_density,
 )
 from .estimate import OutcomeFunctional
@@ -363,7 +362,7 @@ def cross_check_continuous(
     """
     if scenario is None:
         scenario = to_continuous(ds)
-    reg = check_regularity(scenario.model, scenario.interventions)
+    reg = scenario.model.regularity(scenario.interventions)
     if not reg.ok:
         return CrossCheckReport(False, False, math.nan, math.nan, reg.violations)
     check_discrete_positivity(ds)

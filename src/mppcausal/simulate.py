@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compensator import CompensatorModel, HazardSegmentPlan
+from .compensator import CompensatorModel, CustomRule, HazardSegmentPlan
 from .intervention import DeviationTimes, deviation_time
 from .trajectory import Baseline, Trajectory
 
@@ -94,22 +94,14 @@ def inverse_transform_time(plan: HazardSegmentPlan, xi: float) -> float:
     return math.inf
 
 
-_MERGE_CACHE: dict = {}
-_MERGE_CACHE_MAX = 20_000
-
-
-def _merged_plan(plans: list[HazardSegmentPlan]) -> HazardSegmentPlan:
+def _merged_plan(plans: tuple[HazardSegmentPlan, ...]) -> HazardSegmentPlan:
     """Superposition of several components' plans on the same interval.
 
     Rates add; atoms must not collide (orthogonality), so the combined atom
-    list is the disjoint union. Results are memoized on the plan tuple.
+    list is the disjoint union.
     """
     if len(plans) == 1:
         return plans[0]
-    key = tuple(plans)
-    cached = _MERGE_CACHE.get(key)
-    if cached is not None:
-        return cached
     start = plans[0].start
     horizon = plans[0].horizon
     edges = {horizon}
@@ -130,10 +122,7 @@ def _merged_plan(plans: list[HazardSegmentPlan]) -> HazardSegmentPlan:
                 raise TieError(f"two components schedule atoms at t={t}")
             atom_map[t] = prob
     atoms = tuple(sorted(atom_map.items()))
-    merged = HazardSegmentPlan(start, horizon, segments, atoms)
-    if len(_MERGE_CACHE) < _MERGE_CACHE_MAX:
-        _MERGE_CACHE[key] = merged
-    return merged
+    return HazardSegmentPlan(start, horizon, segments, atoms)
 
 
 class _GroupSampler:
@@ -141,7 +130,9 @@ class _GroupSampler:
 
     One uniform picks the joint event time by inverse transform on the
     superposed hazard; a second picks the component and mark, with weights
-    proportional to the per-component hazard mass at the drawn time.
+    proportional to the per-component hazard mass at the drawn time. The
+    group's plans and their superposition share the model's plan memo,
+    except for groups with programmatic rules.
     """
 
     def __init__(self, model: CompensatorModel, components: tuple[int, ...]):
@@ -152,6 +143,9 @@ class _GroupSampler:
             c: (marks[0] if len(marks) == 1 else None)
             for c, marks in self._marks.items()
         }
+        self._memo = len(components) > 1 and not any(
+            isinstance(model.rules[c], CustomRule) for c in components
+        )
 
     def draw(
         self,
@@ -163,8 +157,17 @@ class _GroupSampler:
     ) -> tuple[float, int] | None:
         if not self.components:
             return None
-        plans = [self.model.plan(baseline, history, c, s) for c in self.components]
-        t = inverse_transform_time(_merged_plan(plans), xi)
+
+        def build():
+            plans = tuple(self.model.plan(baseline, history, c, s) for c in self.components)
+            return plans, _merged_plan(plans)
+
+        if self._memo:
+            key = (self.components, baseline.values, history.events, s)
+            plans, merged = self.model.memoized(key, s, build)
+        else:
+            plans, merged = build()
+        t = inverse_transform_time(merged, xi)
         if t == math.inf:
             return None
         owner = None
@@ -200,7 +203,7 @@ class _GroupSampler:
         return (t, cells[-1][0])
 
 
-def _check_cap(model: CompensatorModel, events: list) -> None:
+def _check_cap(model: CompensatorModel, events: tuple) -> None:
     if len(events) > model.event_cap:
         counts: dict[int, int] = {}
         for _, m in events:
@@ -260,18 +263,17 @@ def simulate_observed(scenario, rng: RandomizerStream) -> tuple[Baseline, Trajec
     space = model.space
     baseline = _draw_baseline(scenario, rng.uniform())
     group = _GroupSampler(model, tuple(range(space.n_components)))
-    events: list[tuple[float, int]] = []
+    history = Trajectory(space, (), model.horizon)
     s = 0.0
     while True:
         block = rng.block(2)
-        history = Trajectory(space, tuple(events), model.horizon)
         drawn = group.draw(baseline, history, s, block[0], block[1])
         if drawn is None:
             break
-        events.append(drawn)
-        _check_cap(model, events)
+        history = history.extended(drawn)
+        _check_cap(model, history.events)
         s = drawn[0]
-    return baseline, Trajectory(space, tuple(events), model.horizon)
+    return baseline, history
 
 
 def simulate_interventional(scenario, rng: RandomizerStream) -> tuple[Baseline, Trajectory]:
@@ -283,7 +285,7 @@ def simulate_interventional(scenario, rng: RandomizerStream) -> tuple[Baseline, 
     model: CompensatorModel = scenario.model
     space = model.space
     baseline = _draw_baseline(scenario, rng.uniform())
-    events, s = [], 0.0
+    history, s = Trajectory(space, (), model.horizon), 0.0
     free = tuple(
         c
         for c in range(space.n_components)
@@ -292,17 +294,16 @@ def simulate_interventional(scenario, rng: RandomizerStream) -> tuple[Baseline, 
     group = _GroupSampler(model, free)
     while True:
         block = rng.block(2)
-        history = Trajectory(space, tuple(events), model.horizon)
         candidates = [group.draw(baseline, history, s, block[0], block[1])]
         for spec in scenario.interventions:
             candidates.append(_next_intervention_event(spec, baseline, history, s))
         picked = _min_candidate(candidates)
         if picked is None:
             break
-        events.append(picked[1])
-        _check_cap(model, events)
+        history = history.extended(picked[1])
+        _check_cap(model, history.events)
         s = picked[1][0]
-    return baseline, Trajectory(space, tuple(events), model.horizon)
+    return baseline, history
 
 
 def simulate_joint(scenario, rng: RandomizerStream) -> JointRealization:
@@ -326,8 +327,8 @@ def simulate_joint(scenario, rng: RandomizerStream) -> JointRealization:
     single = {j: _GroupSampler(model, (j,)) for j in targets}
 
     baseline = _draw_baseline(scenario, rng.uniform())
-    obs: list[tuple[float, int]] = []
-    pot: list[tuple[float, int]] = []
+    # while the arms agree they share one history object
+    hist_obs = hist_pot = Trajectory(space, (), model.horizon)
     agree = True
     s_obs = 0.0
     s_pot = 0.0
@@ -336,7 +337,6 @@ def simulate_joint(scenario, rng: RandomizerStream) -> JointRealization:
     n_iv = len(specs)
     while not (obs_done and pot_done):
         block = rng.block(2 * n_iv + 4)
-        hist_obs = Trajectory(space, tuple(obs), model.horizon)
         obs_event = None
         if not obs_done:
             candidates = []
@@ -372,34 +372,32 @@ def simulate_joint(scenario, rng: RandomizerStream) -> JointRealization:
                 if obs_event is None:
                     obs_done = pot_done = True
                 else:
-                    obs.append(obs_event)
-                    pot.append(pot_event)
-                    _check_cap(model, obs)
+                    hist_obs = hist_pot = hist_obs.extended(obs_event)
+                    _check_cap(model, hist_obs.events)
                     s_obs = s_pot = obs_event[0]
             else:
                 agree = False
                 if obs_event is None:
                     obs_done = True
                 else:
-                    obs.append(obs_event)
-                    _check_cap(model, obs)
+                    hist_obs = hist_obs.extended(obs_event)
+                    _check_cap(model, hist_obs.events)
                     s_obs = obs_event[0]
                 if pot_event is None:
                     pot_done = True
                 else:
-                    pot.append(pot_event)
-                    _check_cap(model, pot)
+                    hist_pot = hist_pot.extended(pot_event)
+                    _check_cap(model, hist_pot.events)
                     s_pot = pot_event[0]
         else:
             if not obs_done:
                 if obs_event is None:
                     obs_done = True
                 else:
-                    obs.append(obs_event)
-                    _check_cap(model, obs)
+                    hist_obs = hist_obs.extended(obs_event)
+                    _check_cap(model, hist_obs.events)
                     s_obs = obs_event[0]
             if not pot_done:
-                hist_pot = Trajectory(space, tuple(pot), model.horizon)
                 pot_candidates = [
                     free_group.draw(
                         baseline, hist_pot, s_pot, block[2 * n_iv + 2], block[2 * n_iv + 3]
@@ -413,10 +411,8 @@ def simulate_joint(scenario, rng: RandomizerStream) -> JointRealization:
                 if pot_picked is None:
                     pot_done = True
                 else:
-                    pot.append(pot_picked[1])
-                    _check_cap(model, pot)
+                    hist_pot = hist_pot.extended(pot_picked[1])
+                    _check_cap(model, hist_pot.events)
                     s_pot = pot_picked[1][0]
-    observed = Trajectory(space, tuple(obs), model.horizon)
-    potential = Trajectory(space, tuple(pot), model.horizon)
-    deviation = deviation_time(specs, baseline, observed)
-    return JointRealization(observed, potential, deviation, baseline)
+    deviation = deviation_time(specs, baseline, hist_obs)
+    return JointRealization(hist_obs, hist_pot, deviation, baseline)

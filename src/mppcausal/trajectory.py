@@ -8,6 +8,7 @@ components; each mark belongs to exactly one component.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 
@@ -33,6 +34,10 @@ class MarkSpace:
         for c in self.mark_component:
             if not 0 <= c < len(self.component_names):
                 raise ValueError(f"component index {c} out of range")
+        marks: list[list[int]] = [[] for _ in self.component_names]
+        for m, c in enumerate(self.mark_component):
+            marks[c].append(m)
+        object.__setattr__(self, "_marks_of", tuple(map(tuple, marks)))
 
     @property
     def n_components(self) -> int:
@@ -55,7 +60,7 @@ class MarkSpace:
             raise KeyError(f"unknown mark {label!r}") from None
 
     def marks_of(self, component: int) -> tuple[int, ...]:
-        return tuple(m for m, c in enumerate(self.mark_component) if c == component)
+        return self._marks_of[component]
 
 
 def single_mark_space(component_names: list[str] | tuple[str, ...]) -> MarkSpace:
@@ -95,6 +100,31 @@ class Trajectory:
     @property
     def times(self) -> tuple[float, ...]:
         return tuple(t for t, _ in self.events)
+
+    def component_times(self, component: int) -> list[float]:
+        """Sorted event times of one component, from a per-component index
+        built in one pass on first use. The list is shared: do not modify."""
+        index = self.__dict__.get("_index")
+        if index is None:
+            index = [[] for _ in range(self.space.n_components)]
+            for t, mark in self.events:
+                index[self.space.mark_component[mark]].append(t)
+            for times in index:
+                times.sort()
+            object.__setattr__(self, "_index", index)
+        return index[component]
+
+    def extended(self, event: tuple[float, int]) -> "Trajectory":
+        """This history with one more event; the child shares the parent's
+        index except for the event's component."""
+        c = self.space.mark_component[event[1]]
+        times = self.component_times(c).copy()
+        insort(times, event[0])
+        index = self._index.copy()
+        index[c] = times
+        child = Trajectory(self.space, self.events + (event,), self.horizon)
+        object.__setattr__(child, "_index", index)
+        return child
 
 
 @dataclass(frozen=True)
@@ -150,27 +180,13 @@ def count(traj: Trajectory, component: int | str, t: float) -> int:
 
 def count_strictly_before(traj: Trajectory, component: int, t: float) -> int:
     """Number of events of a component with time < t (the strict past)."""
-    return sum(
-        1
-        for time, mark in traj.events
-        if time < t and traj.space.mark_component[mark] == component
-    )
+    return bisect_left(traj.component_times(component), t)
 
 
 def count_window(traj: Trajectory, component: int, t: float, window: float) -> int:
     """Events of a component in the half-open window [t - window, t)."""
-    lo = t - window
-    return sum(
-        1
-        for time, mark in traj.events
-        if lo <= time < t and traj.space.mark_component[mark] == component
-    )
-
-
-def count_marks(traj: Trajectory, marks, t: float) -> int:
-    """Number of events with time <= t and mark in the given set."""
-    mset = set(marks)
-    return sum(1 for time, mark in traj.events if time <= t and mark in mset)
+    times = traj.component_times(component)
+    return bisect_left(times, t) - bisect_left(times, t - window)
 
 
 # --- serialization ---------------------------------------------------------
@@ -191,8 +207,3 @@ def trajectory_from_json(text: str, space: MarkSpace, horizon: float) -> Traject
         raise ValueError(f"invalid trajectory: {report.message}")
     return traj
 
-
-def event_log_rows(subject_id: int, arm: str, traj: Trajectory):
-    """Rows for the CSV event log: subject_id, arm, t, mark."""
-    for t, m in traj.events:
-        yield (subject_id, arm, t, traj.space.mark_labels[m])

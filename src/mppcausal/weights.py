@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .compensator import CompensatorModel, check_regularity
+from .compensator import CompensatorModel
 from .intervention import DeviationTimes, deviation_time
 from .trajectory import Baseline, Trajectory, validate
 
@@ -87,15 +87,13 @@ def _component_segments_and_atoms(
     Plans are re-evaluated at each event of the trajectory; returns rate
     segments covering (0, T] and atoms with their realized probabilities.
     """
-    space = model.space
     segments: list[tuple[float, float, float]] = []
     atoms: list[tuple[float, float]] = []
     prev = 0.0
-    hist_events: tuple = ()
+    history = Trajectory(model.space, (), traj.horizon)
     cuts = list(traj.times) + [model.horizon]
     for t in cuts:
         if t > prev:
-            history = Trajectory(space, hist_events, traj.horizon)
             plan = model.plan(baseline, history, component, prev)
             for a, b, rate in plan.segments:
                 if a >= t:
@@ -103,8 +101,7 @@ def _component_segments_and_atoms(
                 segments.append((a, min(b, t), rate))
             atoms.extend((u, p) for u, p in plan.atoms if u <= t)
         if t < model.horizon:
-            idx = len(hist_events)
-            hist_events = hist_events + (traj.events[idx],)
+            history = history.extended(traj.events[len(history.events)])
             prev = t
     return segments, atoms
 
@@ -122,7 +119,7 @@ def deviation_compensator(scenario, baseline: Baseline, traj: Trajectory) -> Lam
         raise ValueError(f"invalid trajectory: {report.message}")
     model: CompensatorModel = scenario.model
     specs = tuple(scenario.interventions)
-    reg = check_regularity(model, specs)
+    reg = model.regularity(specs)
     if not reg.ok:
         raise ValueError("regularity violations: " + "; ".join(reg.violations))
     dev = deviation_time(specs, baseline, traj)

@@ -19,6 +19,8 @@ from mppcausal.compensator import (
 )
 from mppcausal.intervention import Static
 from mppcausal.oracle import enumerate_worlds, to_continuous, world_trajectory
+from mppcausal.scenario import parse_config
+from mppcausal.simulate import RandomizerStream, simulate_joint, simulate_observed
 from mppcausal.trajectory import Baseline, Trajectory, single_mark_space
 
 from conftest import one_period_scenario
@@ -245,6 +247,177 @@ class TestRegularity:
         )
         report = check_regularity(m)
         assert any("total atom mass" in v for v in report.violations)
+
+
+# a busy component gated by window and count predicates on itself, a sparse
+# one with atoms at 1.0 and 2.0 whose table reads a window of the busy one,
+# and a regime that copies the busy component with a delay
+BUSY = {
+    "type": "continuous",
+    "horizon": 3.0,
+    "components": [
+        {"name": "x", "rate": {"base": 60.0, "factors": [
+            {"multiplier": 0.2, "when": [{"kind": "window", "component": "x",
+                                          "window": 0.1, "op": "ge", "value": 3}]},
+            {"multiplier": 1.5, "when": [{"kind": "count", "component": "a",
+                                          "op": "ge", "value": 1}]},
+            {"multiplier": 0.9, "when": [
+                {"kind": "count", "component": "x", "op": "ge", "value": 20},
+                {"kind": "window", "component": "x", "window": 0.25, "op": "le",
+                 "value": 4}]},
+        ]}},
+        {"name": "a", "atoms": [
+            {"time": t, "table": {"entries": [{"when": [
+                {"kind": "window", "component": "x", "window": 0.5, "op": "ge",
+                 "value": 6}], "prob": 0.6}], "default": 0.3}}
+            for t in (1.0, 2.0)]},
+        {"name": "y", "rate": {"base": 0.3}},
+    ],
+    "interventions": [{"target": "y", "kind": "delayed_copy", "source": "x",
+                       "delay": 0.5, "mark": "y"}],
+    "outcome": {"kind": "count", "component": "y", "t": 3.0},
+}
+
+
+def _reference_plan(model, baseline, history, component, s):
+    """The plan as built by scanning the whole history at every step."""
+    from mppcausal.compensator import HazardSegmentPlan
+
+    comp = history.space.mark_component
+
+    def holds(p, t):
+        if p.kind == "baseline":
+            return baseline.get(p.covariate) == p.value
+        if p.kind == "count":
+            x = sum(1 for u, m in history.events if u < t and comp[m] == p.component)
+        else:
+            lo = t - p.window
+            x = sum(
+                1 for u, m in history.events if lo <= u < t and comp[m] == p.component
+            )
+        return {"ge": x >= p.value, "le": x <= p.value, "eq": x == p.value}[p.op]
+
+    rule, T = model.rules[component], model.horizon
+    segments = ()
+    if rule.rate is not None:
+        cuts = {T}
+        for f in rule.rate.factors:
+            for p in f.when:
+                if p.kind == "window":
+                    for u, m in history.events:
+                        if comp[m] == p.component and s < u + p.window < T:
+                            cuts.add(u + p.window)
+        edges = [s] + sorted(cuts)
+        segs = []
+        for a, b in zip(edges, edges[1:]):
+            r = rule.rate.base
+            for f in rule.rate.factors:
+                if all(holds(p, b) for p in f.when):
+                    r *= f.multiplier
+            segs.append((a, b, r))
+        segments = tuple(segs)
+    atoms = []
+    for spec in rule.atoms:
+        if s < spec.time <= T:
+            when_probs = spec.prob.entries
+            prob = next(
+                (q for when, q in when_probs if all(holds(p, spec.time) for p in when)),
+                spec.prob.default,
+            )
+            atoms.append((spec.time, prob))
+    return HazardSegmentPlan(s, T, segments, tuple(atoms))
+
+
+class TestIndexedPlans:
+    def test_extended_chain_plans_match_fresh_and_scan(self):
+        sc = parse_config(BUSY)
+        m = sc.model
+        _, traj = simulate_observed(sc, RandomizerStream(3, 0))
+        assert len(traj.events) > 50
+        chained = Trajectory(sc.space, (), sc.horizon)
+        for i, event in enumerate(traj.events):
+            chained = chained.extended(event)
+            if i % 5:
+                continue
+            fresh = Trajectory(sc.space, traj.events[: i + 1], sc.horizon)
+            for s in (event[0], event[0] + 0.05):
+                for c in range(3):
+                    plan = m.plan(B, chained, c, s)
+                    assert plan == m.plan(B, fresh, c, s)
+                    assert plan == _reference_plan(m, B, fresh, c, s)
+
+    def test_continuous_memo_holds_only_recurring_starts(self):
+        sc = parse_config(BUSY)
+        lengths = []
+        for i in range(50):
+            lengths.append(len(simulate_joint(sc, RandomizerStream(5, i)).observed.events))
+        assert min(lengths) > 50
+        starts = {key[-1] for key in sc.model._plan_cache}
+        assert starts <= {0.0, 1.0, 2.0}
+        # the plans at s = 0 are shared by all subjects; an atom start keys on
+        # the subject's history: per arm one group entry and three plans
+        assert 0.0 in starts
+        assert len(sc.model._plan_cache) <= 4 + 50 * 2 * 2 * 4 < sum(lengths)
+
+    def test_non_recurring_start_is_rebuilt(self):
+        sc = parse_config(BUSY)
+        h = Trajectory(sc.space, ((0.3, 0),), sc.horizon)
+        assert sc.model.plan(B, h, 0, 0.3) is not sc.model.plan(B, h, 0, 0.3)
+        assert sc.model.plan(B, h, 0, 1.0) is sc.model.plan(B, h, 0, 1.0)
+        assert not sc.model._plan_cache.keys() - {(0, B.values, h.events, 1.0)}
+
+    def test_discrete_model_hits_memo(self):
+        sc = to_continuous(one_period_scenario())
+        for i in range(200):
+            simulate_observed(sc, RandomizerStream(9, i))
+        size = len(sc.model._plan_cache)
+        assert 0 < size < 100
+        for i in range(200, 400):
+            simulate_observed(sc, RandomizerStream(9, i))
+        assert len(sc.model._plan_cache) == size
+        h = Trajectory(sc.space, (), sc.horizon)
+        assert sc.model.plan(B, h, 0, 0.0) is sc.model.plan(B, h, 0, 0.0)
+
+
+class TestRegularityMemo:
+    def test_checked_once_per_intervention_tuple(self, monkeypatch):
+        import mppcausal.compensator as comp
+        from mppcausal.weights import weight_path_product
+
+        calls = []
+        real = comp.check_regularity
+        monkeypatch.setattr(
+            comp, "check_regularity", lambda *a: calls.append(a) or real(*a)
+        )
+        sc = to_continuous(one_period_scenario())
+        for i in range(30):
+            baseline, traj = simulate_observed(sc, RandomizerStream(1, i))
+            weight_path_product(sc, baseline, traj)
+        assert len(calls) == 1
+        assert sc.model.regularity(sc.interventions) is sc.model.regularity(
+            tuple(sc.interventions)
+        )
+
+    def test_irregular_message_unchanged(self):
+        from mppcausal.weights import deviation_compensator
+
+        space = single_mark_space(["a", "y"])
+        m = CompensatorModel(
+            space,
+            {"a": DslRule(atoms=(AtomSpec(1.0, 0.3),)),
+             "y": DslRule(atoms=(AtomSpec(1.0, 0.4),))},
+            2.0,
+        )
+
+        class Sc:
+            model = m
+            interventions = ()
+
+        with pytest.raises(ValueError) as exc:
+            deviation_compensator(Sc, B, Trajectory(space, (), 2.0))
+        assert str(exc.value) == (
+            "regularity violations: components a and y share an atom at t=1.0"
+        )
 
 
 class TestRuleValidation:

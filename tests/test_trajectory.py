@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,6 +8,7 @@ from mppcausal.trajectory import (
     MarkSpace,
     Trajectory,
     count,
+    count_strictly_before,
     count_window,
     restrict,
     single_mark_space,
@@ -119,6 +122,80 @@ class TestProperties:
     def test_json_round_trip(self, t):
         text = trajectory_to_json(t)
         assert trajectory_from_json(text, SPACE, t.horizon) == t
+
+
+def _scan_before(t_, component, t):
+    comp = t_.space.mark_component
+    return sum(1 for u, m in t_.events if u < t and comp[m] == component)
+
+
+def _scan_window(t_, component, t, window):
+    comp = t_.space.mark_component
+    lo = t - window
+    return sum(1 for u, m in t_.events if lo <= u < t and comp[m] == component)
+
+
+MULTI = MarkSpace(("p", "q", "r"), ("p0", "q0", "q1", "r0"), (0, 1, 1, 2))
+
+
+class TestIndexedCounts:
+    """Bisection on the per-component index equals a scan of the history."""
+
+    def _histories(self):
+        rng = random.Random(7)
+        grid = [k / 8 for k in range(1, 80)]  # binary fractions: exact sums
+        for n in (0, 1, 5, 40, 100):
+            events = [(rng.choice(grid), rng.randrange(4)) for _ in range(n)]
+            events += [(rng.uniform(0.0, 10.0), rng.randrange(4)) for _ in range(n)]
+            yield events  # unsorted, with repeated times
+            yield sorted(events)
+
+    def test_counts_match_scan(self):
+        rng = random.Random(11)
+        for events in self._histories():
+            t_ = Trajectory(MULTI, tuple(events), 10.0)
+            times = rng.sample(sorted({u for u, _ in events}), min(len(events), 25))
+            probes = times + [u + 1e-12 for u in times] + [0.0, 5.0, 10.0]
+            for c in range(3):
+                for t in probes:
+                    assert count_strictly_before(t_, c, t) == _scan_before(t_, c, t)
+                    for window in (0.125, 0.5, 1.0, 0.3):
+                        got = count_window(t_, c, t, window)
+                        assert got == _scan_window(t_, c, t, window)
+
+    def test_window_edges_on_event_times(self):
+        for events in self._histories():
+            t_ = Trajectory(MULTI, tuple(events), 10.0)
+            for u, m in events[:20]:
+                c = MULTI.mark_component[m]
+                for window in (0.25, 0.375, 0.1, 1 / 3):
+                    # t = t_ev + window
+                    t = u + window
+                    assert count_window(t_, c, t, window) == _scan_window(t_, c, t, window)
+                    assert count_window(t_, c, u, window) == _scan_window(t_, c, u, window)
+                if u * 8 == int(u * 8):
+                    # the window edge t - window lands exactly on the event
+                    t = u + 0.5
+                    assert t - 0.5 == u
+                    assert count_window(t_, c, t, 0.5) == _scan_window(t_, c, t, 0.5)
+
+    def test_extended_chain_matches_fresh_index(self):
+        for events in self._histories():
+            chained = Trajectory(MULTI, (), 10.0)
+            for i, event in enumerate(events):
+                chained = chained.extended(event)
+                if i % 7 == 0 or i == len(events) - 1:
+                    fresh = Trajectory(MULTI, tuple(events[: i + 1]), 10.0)
+                    assert chained == fresh
+                    for c in range(3):
+                        assert chained.component_times(c) == fresh.component_times(c)
+
+    def test_extended_leaves_parent_index_alone(self):
+        parent = Trajectory(MULTI, ((1.0, 1),), 10.0)
+        before = [list(parent.component_times(c)) for c in range(3)]
+        child = parent.extended((2.0, 2))
+        assert [parent.component_times(c) for c in range(3)] == before
+        assert child.component_times(1) == [1.0, 2.0]
 
 
 class TestMarkSpace:
